@@ -1,15 +1,14 @@
 // Standalone fountain-codec demo: uses the coding library without any
 // networking. Encodes a block, simulates an erasure channel, decodes,
-// and reports the redundancy — then does the same with the GF(256) RLC
-// ablation and the sparse LT codec extension.
+// and reports the redundancy — once with the paper's GF(2) code and once
+// with the GF(256) ablation.
 #include <cstdio>
+#include <utility>
 
 #include "common/rng.h"
-#include "fountain/decoder.h"
+#include "fountain/codec.h"
 #include "fountain/gf256_kernels.h"
-#include "fountain/gf256_rlc.h"
-#include "fountain/lt_codec.h"
-#include "fountain/random_linear.h"
+#include "fountain/gf2_kernels.h"
 
 using namespace fmtcp;
 using namespace fmtcp::fountain;
@@ -26,41 +25,9 @@ int main() {
               symbol_bytes, original.total_bytes());
   std::printf("channel: %.0f%% i.i.d. erasures\n\n", channel_loss * 100);
 
-  // --- Dense random linear fountain (the FMTCP code, paper Eq. 1). ---
-  {
-    RandomLinearEncoder encoder(7, original, rng.fork());
-    BlockDecoder decoder(k, symbol_bytes, /*track_data=*/true);
-    Rng channel = rng.fork();
-    std::uint64_t sent = 0;
-    std::uint64_t erased = 0;
-    while (!decoder.complete()) {
-      const net::EncodedSymbol symbol = encoder.next_symbol();
-      ++sent;
-      if (channel.bernoulli(channel_loss)) {
-        ++erased;
-        continue;
-      }
-      decoder.add_symbol(symbol);
-    }
-    const bool ok = decoder.decode().bytes() == original.bytes();
-    std::printf("random linear fountain:\n");
-    std::printf("  sent %llu symbols (%llu erased, %llu redundant)\n",
-                static_cast<unsigned long long>(sent),
-                static_cast<unsigned long long>(erased),
-                static_cast<unsigned long long>(decoder.redundant_count()));
-    std::printf("  received %llu, rank %u/%u, decode %s\n",
-                static_cast<unsigned long long>(decoder.received_count()),
-                decoder.rank(), k, ok ? "byte-exact" : "FAILED");
-    std::printf("  overhead beyond k/(1-p): %.1f%%\n\n",
-                100.0 * (static_cast<double>(sent) /
-                             (k / (1.0 - channel_loss)) -
-                         1.0));
-  }
-
-  // --- Dense GF(256) RLC (CTCP-style ablation, gf256_rlc.h). ---
-  {
-    Gf256RlcEncoder encoder(7, original, rng.fork());
-    Gf256RlcDecoder decoder(k, symbol_bytes, /*track_data=*/true);
+  for (const CodingField field : {CodingField::kGf2, CodingField::kGf256}) {
+    SymbolEncoder encoder(field, 7, original, rng.fork());
+    SymbolDecoder decoder(field, k, symbol_bytes, /*track_data=*/true);
     Rng channel = rng.fork();
     std::uint64_t sent = 0;
     std::uint64_t erased = 0;
@@ -74,8 +41,10 @@ int main() {
       decoder.add_symbol(std::move(symbol));
     }
     const bool ok = decoder.decode().bytes() == original.bytes();
-    std::printf("GF(256) random linear (kernel: %s):\n",
-                gf256_kernel().name);
+    std::printf("%s random linear fountain (kernel: %s):\n",
+                field == CodingField::kGf2 ? "GF(2)" : "GF(256)",
+                field == CodingField::kGf2 ? gf2_kernel().name
+                                           : gf256_kernel().name);
     std::printf("  sent %llu symbols (%llu erased, %llu redundant)\n",
                 static_cast<unsigned long long>(sent),
                 static_cast<unsigned long long>(erased),
@@ -83,32 +52,10 @@ int main() {
     std::printf("  received %llu, rank %u/%u, decode %s\n",
                 static_cast<unsigned long long>(decoder.received_count()),
                 decoder.rank(), k, ok ? "byte-exact" : "FAILED");
-    std::printf(
-        "  (byte coefficients: dependent receptions ~256x rarer than "
-        "GF(2), at multiply-kernel decode cost)\n\n");
-  }
-
-  // --- Sparse LT codec with robust-soliton degrees (extension). ---
-  {
-    const RobustSoliton dist(k, 0.1, 0.05);
-    LtEncoder encoder(7, original, dist, rng.fork());
-    LtDecoder decoder(k, symbol_bytes, dist);
-    Rng channel = rng.fork();
-    std::uint64_t sent = 0;
-    while (!decoder.complete()) {
-      const net::EncodedSymbol symbol = encoder.next_symbol();
-      ++sent;
-      if (channel.bernoulli(channel_loss)) continue;
-      decoder.add_symbol(symbol);
-    }
-    const bool ok = decoder.decode().bytes() == original.bytes();
-    std::printf("LT codec (robust soliton, c=0.1, delta=0.05):\n");
-    std::printf("  sent %llu symbols, recovered %u/%u, decode %s\n",
-                static_cast<unsigned long long>(sent), decoder.recovered(),
-                k, ok ? "byte-exact" : "FAILED");
-    std::printf(
-        "  (sparse symbols decode by peeling; cheaper per symbol, more "
-        "overhead than the dense code at this k)\n");
+    std::printf("  overhead beyond k/(1-p): %.1f%%\n\n",
+                100.0 * (static_cast<double>(sent) /
+                             (k / (1.0 - channel_loss)) -
+                         1.0));
   }
   return 0;
 }

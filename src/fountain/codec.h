@@ -1,34 +1,47 @@
-// Field-polymorphic codec wrappers.
+// Field-tagged codec front end.
 //
-// SymbolEncoder / SymbolDecoder hold either the GF(2) random linear
-// codec (random_linear.h + decoder.h) or the GF(256) one (gf256_rlc.h)
-// behind exactly the interface the protocol layer uses, so the sender's
-// block manager and the receiver pick the coefficient field from
-// FmtcpParams::coding_field without any other change — the wire format
-// (seed-carrying EncodedSymbol) is shared, and nothing default-on
-// changes (kGf2 reproduces the GF(2) plane byte for byte).
+// SymbolEncoder is the one per-block encoder for both coefficient
+// fields; it branches on FmtcpParams::coding_field only where the fields
+// differ (coefficient expansion and the combine kernel). SymbolDecoder
+// holds either the GF(2) decoder (decoder.h) or the GF(256) one
+// (gf256_rlc.h), which are different algorithms, behind the interface
+// the receiver uses. The wire format (seed-carrying EncodedSymbol) is
+// shared, and kGf2 reproduces the paper's GF(2) code byte for byte.
 //
-// Dispatch is a std::variant visit per call, far off the hot loops (the
-// per-byte work happens inside the held codec's kernels).
+// The decoder dispatch is a std::variant visit per call, far off the hot
+// loops (the per-byte work happens inside the held decoder's kernels).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <variant>
+#include <vector>
 
 #include "common/buffer_pool.h"
 #include "common/rng.h"
 #include "fountain/block.h"
 #include "fountain/coding_field.h"
 #include "fountain/decoder.h"
+#include "fountain/gf2.h"
 #include "fountain/gf256_rlc.h"
-#include "fountain/random_linear.h"
 #include "net/packet.h"
 
 namespace fmtcp::fountain {
 
-/// Per-block encoder in the chosen field. API mirrors the codecs it
-/// wraps (payload / rank-only modes, systematic prefix, buffer pool).
+/// Stateful per-block random linear encoder (paper Eq. 1) held by the
+/// sender. Each symbol after the systematic prefix draws a fresh 64-bit
+/// coefficient seed; in payload mode the seed is expanded into k̂
+/// coefficients of the chosen field (bits for GF(2), bytes for GF(256))
+/// and the block's symbols are combined with them. In rank-only mode
+/// symbols carry just the seed, which leaves every protocol decision and
+/// packet size unchanged while skipping the byte work (a simulation
+/// speed knob).
+///
+/// Optionally *systematic* (like RFC 5053/6330 Raptor codes): the first
+/// k̂ symbols emitted are the source symbols themselves, so a lossless
+/// channel decodes for free; repair symbols afterwards are random linear
+/// combinations as usual.
 class SymbolEncoder {
  public:
   /// Payload mode: encodes real bytes from `block` (copied).
@@ -40,22 +53,37 @@ class SymbolEncoder {
                 std::uint32_t symbols, std::size_t symbol_bytes, Rng rng,
                 bool systematic = false);
 
+  /// Generates the next encoded symbol (source symbol while the
+  /// systematic prefix lasts, then fresh random coefficients).
   net::EncodedSymbol next_symbol();
-  void set_buffer_pool(BufferPool* pool);
 
-  CodingField field() const {
-    return std::holds_alternative<RandomLinearEncoder>(impl_)
-               ? CodingField::kGf2
-               : CodingField::kGf256;
-  }
-  bool systematic() const;
-  std::uint64_t block_id() const;
-  std::uint32_t symbols() const;
-  std::size_t symbol_bytes() const;
-  std::uint64_t generated_count() const;
+  /// Optional buffer pool: when set, payload buffers for emitted symbols
+  /// are acquired from it instead of freshly allocated. The pool must
+  /// outlive the encoder. Does not affect the symbol stream (seeds and
+  /// bytes are identical either way).
+  void set_buffer_pool(BufferPool* pool) { pool_ = pool; }
+
+  CodingField field() const { return field_; }
+  bool systematic() const { return systematic_; }
+  std::uint64_t block_id() const { return block_id_; }
+  std::uint32_t symbols() const { return symbols_; }
+  std::size_t symbol_bytes() const { return symbol_bytes_; }
+  std::uint64_t generated_count() const { return generated_; }
 
  private:
-  std::variant<RandomLinearEncoder, Gf256RlcEncoder> impl_;
+  CodingField field_;
+  std::uint64_t block_id_;
+  std::uint32_t symbols_;
+  std::size_t symbol_bytes_;
+  std::optional<BlockData> data_;  ///< Absent in rank-only mode.
+  BufferPool* pool_ = nullptr;
+  Rng rng_;
+  bool systematic_ = false;
+  std::uint64_t generated_ = 0;
+  // Coefficient scratch reused per symbol (payload mode only); the field
+  // picks which one is used.
+  BitVector gf2_coeffs_;
+  std::vector<std::uint8_t> gf256_coeffs_;
 };
 
 /// Per-block decoder in the chosen field. `metrics` (GF(2)-plane obs

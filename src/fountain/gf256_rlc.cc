@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/rng.h"
 #include "fountain/gf2.h"
 #include "fountain/gf256.h"
 #include "fountain/gf256_kernels.h"
@@ -50,53 +51,6 @@ void gf256_encode_with_coefficients_into(const BlockData& block,
     }
   }
   if (n > 0) ops.mul_accumulate(out.data(), srcs, cs, n, out.size());
-}
-
-Gf256RlcEncoder::Gf256RlcEncoder(std::uint64_t block_id, BlockData block,
-                                 Rng rng, bool systematic)
-    : block_id_(block_id),
-      symbols_(block.symbols()),
-      symbol_bytes_(block.symbol_bytes()),
-      data_(std::move(block)),
-      rng_(rng),
-      systematic_(systematic) {}
-
-Gf256RlcEncoder::Gf256RlcEncoder(std::uint64_t block_id, std::uint32_t symbols,
-                                 std::size_t symbol_bytes, Rng rng,
-                                 bool systematic)
-    : block_id_(block_id),
-      symbols_(symbols),
-      symbol_bytes_(symbol_bytes),
-      rng_(rng),
-      systematic_(systematic) {
-  FMTCP_CHECK(symbols > 0);
-  FMTCP_CHECK(symbol_bytes > 0);
-}
-
-net::EncodedSymbol Gf256RlcEncoder::next_symbol() {
-  FMTCP_COUNT("codec.encode_symbol", 1);
-  net::EncodedSymbol s;
-  s.block = block_id_;
-  s.block_symbols = symbols_;
-  if (systematic_ && generated_ < symbols_) {
-    s.systematic_index = static_cast<std::uint32_t>(generated_);
-    if (data_.has_value()) {
-      if (pool_ != nullptr) s.data = pool_->acquire(symbol_bytes_);
-      const std::uint8_t* src = data_->symbol(s.systematic_index);
-      s.data.assign(src, src + symbol_bytes_);
-    }
-  } else {
-    s.coeff_seed = rng_.next_u64();
-    if (data_.has_value()) {
-      gf256_coefficients_from_seed_into(s.coeff_seed, symbols_,
-                                        coeff_scratch_);
-      if (pool_ != nullptr) s.data = pool_->acquire(symbol_bytes_);
-      gf256_encode_with_coefficients_into(*data_, coeff_scratch_.data(),
-                                          s.data);
-    }
-  }
-  ++generated_;
-  return s;
 }
 
 Gf256RlcDecoder::Gf256RlcDecoder(std::uint32_t symbols,

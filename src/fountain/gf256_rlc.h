@@ -31,7 +31,6 @@
 
 #include "common/aligned.h"
 #include "common/buffer_pool.h"
-#include "common/rng.h"
 #include "fountain/block.h"
 #include "net/packet.h"
 
@@ -50,49 +49,8 @@ void gf256_encode_with_coefficients_into(const BlockData& block,
                                          const std::uint8_t* coeffs,
                                          AlignedBytes& out);
 
-/// Stateful per-block GF(256) encoder, API-compatible with
-/// RandomLinearEncoder (payload / rank-only modes, optional systematic
-/// prefix, optional buffer pool) so the sender can hold either behind
-/// one interface (fountain/codec.h).
-class Gf256RlcEncoder {
- public:
-  /// Payload mode: encodes real bytes from `block` (copied).
-  Gf256RlcEncoder(std::uint64_t block_id, BlockData block, Rng rng,
-                  bool systematic = false);
-
-  /// Rank-only mode: symbols have empty `data`.
-  Gf256RlcEncoder(std::uint64_t block_id, std::uint32_t symbols,
-                  std::size_t symbol_bytes, Rng rng, bool systematic = false);
-
-  /// Generates the next encoded symbol (source symbol while the
-  /// systematic prefix lasts, then fresh random byte coefficients).
-  net::EncodedSymbol next_symbol();
-
-  /// Optional buffer pool: when set, payload buffers for emitted symbols
-  /// are acquired from it instead of freshly allocated. The pool must
-  /// outlive the encoder. Does not affect the symbol stream.
-  void set_buffer_pool(BufferPool* pool) { pool_ = pool; }
-
-  bool systematic() const { return systematic_; }
-  std::uint64_t block_id() const { return block_id_; }
-  std::uint32_t symbols() const { return symbols_; }
-  std::size_t symbol_bytes() const { return symbol_bytes_; }
-  std::uint64_t generated_count() const { return generated_; }
-
- private:
-  std::uint64_t block_id_;
-  std::uint32_t symbols_;
-  std::size_t symbol_bytes_;
-  std::optional<BlockData> data_;  ///< Absent in rank-only mode.
-  BufferPool* pool_ = nullptr;
-  Rng rng_;
-  bool systematic_ = false;
-  std::uint64_t generated_ = 0;
-  std::vector<std::uint8_t> coeff_scratch_;  ///< Reused per symbol.
-};
-
 /// Incremental GF(256) Gaussian-elimination decoder with lazy payloads.
-/// API-compatible subset of BlockDecoder (fountain/codec.h wraps both).
+/// Same interface as BlockDecoder (fountain/codec.h wraps both).
 class Gf256RlcDecoder {
  public:
   /// `track_data` false = rank-only mode (no payload bytes stored).

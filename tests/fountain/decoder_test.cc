@@ -1,3 +1,4 @@
+#include "fountain/codec.h"
 #include "fountain/decoder.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +11,7 @@ namespace {
 TEST(BlockDecoder, RoundTrip) {
   const BlockData original = make_deterministic_block(1, 16, 32);
   Rng rng(3);
-  RandomLinearEncoder encoder(1, original, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 1, original, rng);
   BlockDecoder decoder(16, 32, /*track_data=*/true);
   while (!decoder.complete()) {
     decoder.add_symbol(encoder.next_symbol());
@@ -20,7 +21,7 @@ TEST(BlockDecoder, RoundTrip) {
 
 TEST(BlockDecoder, RankMonotoneAndBounded) {
   Rng rng(5);
-  RandomLinearEncoder encoder(1, 32, 8, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 1, 32, 8, rng);
   BlockDecoder decoder(32, 8, /*track_data=*/false);
   std::uint32_t last_rank = 0;
   for (int i = 0; i < 100; ++i) {
@@ -34,7 +35,7 @@ TEST(BlockDecoder, RankMonotoneAndBounded) {
 
 TEST(BlockDecoder, DuplicateSymbolIsRedundant) {
   Rng rng(7);
-  RandomLinearEncoder encoder(1, 8, 4, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 1, 8, 4, rng);
   BlockDecoder decoder(8, 4, false);
   const net::EncodedSymbol symbol = encoder.next_symbol();
   EXPECT_TRUE(decoder.add_symbol(symbol));
@@ -62,7 +63,7 @@ TEST(BlockDecoder, DependentCombinationIsRedundant) {
 
 TEST(BlockDecoder, SymbolsAfterCompletionRedundant) {
   Rng rng(9);
-  RandomLinearEncoder encoder(1, 4, 4, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 1, 4, 4, rng);
   BlockDecoder decoder(4, 4, false);
   while (!decoder.complete()) decoder.add_symbol(encoder.next_symbol());
   const std::uint64_t redundant_before = decoder.redundant_count();
@@ -102,7 +103,7 @@ TEST(BlockDecoder, DecodeWithDenseBasis) {
 TEST(BlockDecoder, DecodeIdempotent) {
   const BlockData original = make_deterministic_block(4, 4, 4);
   Rng rng(11);
-  RandomLinearEncoder encoder(4, original, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 4, original, rng);
   BlockDecoder decoder(4, 4, true);
   while (!decoder.complete()) decoder.add_symbol(encoder.next_symbol());
   const AlignedBytes first = decoder.decode().bytes();
@@ -111,7 +112,7 @@ TEST(BlockDecoder, DecodeIdempotent) {
 
 TEST(BlockDecoder, BufferedBytesGrowWithRank) {
   Rng rng(13);
-  RandomLinearEncoder encoder(1, 16, 10, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 1, 16, 10, rng);
   BlockDecoder decoder(16, 10, false);
   EXPECT_EQ(decoder.buffered_bytes(), 0u);
   decoder.add_symbol(encoder.next_symbol());
@@ -122,7 +123,7 @@ TEST(BlockDecoder, BufferedBytesGrowWithRank) {
 
 TEST(BlockDecoder, WireSymbolMatchesExpandedInsert) {
   Rng rng(17);
-  RandomLinearEncoder encoder(1, 8, 4, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 1, 8, 4, rng);
   const net::EncodedSymbol symbol = encoder.next_symbol();
   BlockDecoder a(8, 4, false);
   BlockDecoder b(8, 4, false);
@@ -135,7 +136,7 @@ TEST(BlockDecoder, WireSymbolMatchesExpandedInsert) {
 TEST(BlockDecoder, SingleSymbolBlock) {
   const BlockData original = make_deterministic_block(5, 1, 100);
   Rng rng(19);
-  RandomLinearEncoder encoder(5, original, rng);
+  SymbolEncoder encoder(CodingField::kGf2, 5, original, rng);
   BlockDecoder decoder(1, 100, true);
   decoder.add_symbol(encoder.next_symbol());
   EXPECT_TRUE(decoder.complete());
@@ -149,7 +150,7 @@ TEST(BlockDecoder, TypicalOverheadIsSmall) {
   const int trials = 200;
   const std::uint32_t k = 32;
   for (int t = 0; t < trials; ++t) {
-    RandomLinearEncoder encoder(t, k, 4, rng.fork());
+    SymbolEncoder encoder(CodingField::kGf2, t, k, 4, rng.fork());
     BlockDecoder decoder(k, 4, false);
     while (!decoder.complete()) decoder.add_symbol(encoder.next_symbol());
     total_received += static_cast<double>(decoder.received_count());
