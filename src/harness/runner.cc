@@ -76,6 +76,36 @@ void run_clock(sim::Simulator& simulator, const Scenario& scenario) {
   }
 }
 
+/// Runs one cell's phases under their sweep.cell.* spans (the span
+/// tables in BENCH_sweep.json key on these names): setup builds and
+/// starts the connection `make` returns, sim runs the clock, collect
+/// fills the shared results and then the protocol's own through
+/// `collect`, teardown destroys the connection.
+template <typename Make, typename Collect>
+void run_phases(sim::Simulator& simulator, const Scenario& scenario,
+                RunResult& result, Make make, Collect collect) {
+  decltype(make()) connection;
+  {
+    FMTCP_SPAN("sweep.cell.setup");
+    connection = make();
+    connection->start();
+  }
+  {
+    FMTCP_SPAN("sweep.cell.sim");
+    run_clock(simulator, scenario);
+  }
+  {
+    FMTCP_SPAN("sweep.cell.collect");
+    collect_common(connection->goodput(), connection->block_delays(),
+                   scenario, result);
+    collect(*connection);
+  }
+  {
+    FMTCP_SPAN("sweep.cell.teardown");
+    connection.reset();
+  }
+}
+
 /// Copies the scheduler's per-tag dispatch counts into sim.events.*
 /// counters and the buffer pool's lifetime stats into bufferpool.*
 /// gauges so --metrics-json captures both profiles.
@@ -152,152 +182,100 @@ RunResult run_scenario(Protocol protocol, const Scenario& scenario,
   const auto wall_start = std::chrono::steady_clock::now();
 
   switch (protocol) {
-    case Protocol::kFmtcp: {
-      std::unique_ptr<core::FmtcpConnection> connection;
-      {
-        FMTCP_SPAN("sweep.cell.setup");
-        core::FmtcpConnectionConfig config;
-        config.params = options.fmtcp;
-        config.subflow = options.subflow;
-        config.subflow.enable_sack = options.sack;
-        config.receiver.delayed_acks = options.delayed_acks;
-        config.use_lia = options.fmtcp_use_lia;
-        config.goodput_bin = options.goodput_bin;
-        config.observer = scenario.observer;
-        connection = std::make_unique<core::FmtcpConnection>(
-            simulator, topology, config);
-        connection->start();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.sim");
-        run_clock(simulator, scenario);
-      }
-      {
-        FMTCP_SPAN("sweep.cell.collect");
-        collect_common(connection->goodput(), connection->block_delays(),
-                       scenario, result);
-        for (std::size_t i = 0; i < connection->subflow_count(); ++i) {
-          collect_subflow(connection->subflow(i), result);
-        }
-        result.redundant_symbols =
-            connection->receiver().redundant_symbols();
-        result.symbols_sent =
-            connection->sender().blocks().total_symbols_sent();
-        result.payload_ok = connection->receiver().payload_verified();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.teardown");
-        connection.reset();
-      }
+    case Protocol::kFmtcp:
+      run_phases(
+          simulator, scenario, result,
+          [&] {
+            core::FmtcpConnectionConfig config;
+            config.params = options.fmtcp;
+            config.subflow = options.subflow;
+            config.subflow.enable_sack = options.sack;
+            config.receiver.delayed_acks = options.delayed_acks;
+            config.use_lia = options.fmtcp_use_lia;
+            config.goodput_bin = options.goodput_bin;
+            config.observer = scenario.observer;
+            return std::make_unique<core::FmtcpConnection>(simulator,
+                                                           topology, config);
+          },
+          [&](core::FmtcpConnection& connection) {
+            for (std::size_t i = 0; i < connection.subflow_count(); ++i) {
+              collect_subflow(connection.subflow(i), result);
+            }
+            result.redundant_symbols =
+                connection.receiver().redundant_symbols();
+            result.symbols_sent =
+                connection.sender().blocks().total_symbols_sent();
+            result.payload_ok = connection.receiver().payload_verified();
+          });
       break;
-    }
 
-    case Protocol::kMptcp: {
-      std::unique_ptr<mptcp::MptcpConnection> connection;
-      {
-        FMTCP_SPAN("sweep.cell.setup");
-        mptcp::MptcpConnectionConfig config;
-        config.subflow = options.subflow;
-        config.subflow.enable_sack = options.sack;
-        config.sender.segment_bytes = options.subflow.mss_payload;
-        config.sender.metric_block_bytes = options.fmtcp.block_bytes();
-        config.sender.scheduler = options.mptcp_scheduler;
-        config.sender.enable_reinjection = options.mptcp_reinjection;
-        config.receiver.delayed_acks = options.delayed_acks;
-        config.receive_buffer_bytes = options.mptcp_receive_buffer;
-        config.use_lia = options.mptcp_use_lia;
-        config.goodput_bin = options.goodput_bin;
-        config.observer = scenario.observer;
-        connection = std::make_unique<mptcp::MptcpConnection>(
-            simulator, topology, config);
-        connection->start();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.sim");
-        run_clock(simulator, scenario);
-      }
-      {
-        FMTCP_SPAN("sweep.cell.collect");
-        collect_common(connection->goodput(), connection->block_delays(),
-                       scenario, result);
-        for (std::size_t i = 0; i < connection->subflow_count(); ++i) {
-          collect_subflow(connection->subflow(i), result);
-        }
-      }
-      {
-        FMTCP_SPAN("sweep.cell.teardown");
-        connection.reset();
-      }
+    case Protocol::kMptcp:
+      run_phases(
+          simulator, scenario, result,
+          [&] {
+            mptcp::MptcpConnectionConfig config;
+            config.subflow = options.subflow;
+            config.subflow.enable_sack = options.sack;
+            config.sender.segment_bytes = options.subflow.mss_payload;
+            config.sender.metric_block_bytes = options.fmtcp.block_bytes();
+            config.sender.scheduler = options.mptcp_scheduler;
+            config.sender.enable_reinjection = options.mptcp_reinjection;
+            config.receiver.delayed_acks = options.delayed_acks;
+            config.receive_buffer_bytes = options.mptcp_receive_buffer;
+            config.use_lia = options.mptcp_use_lia;
+            config.goodput_bin = options.goodput_bin;
+            config.observer = scenario.observer;
+            return std::make_unique<mptcp::MptcpConnection>(simulator,
+                                                            topology, config);
+          },
+          [&](mptcp::MptcpConnection& connection) {
+            for (std::size_t i = 0; i < connection.subflow_count(); ++i) {
+              collect_subflow(connection.subflow(i), result);
+            }
+          });
       break;
-    }
 
-    case Protocol::kHmtp: {
-      std::unique_ptr<baselines::HmtpConnection> connection;
-      {
-        FMTCP_SPAN("sweep.cell.setup");
-        baselines::HmtpConnectionConfig config;
-        config.params = options.fmtcp;
-        config.subflow = options.subflow;
-        config.subflow.observer = scenario.observer;
-        config.goodput_bin = options.goodput_bin;
-        connection = std::make_unique<baselines::HmtpConnection>(
-            simulator, topology, config);
-        connection->start();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.sim");
-        run_clock(simulator, scenario);
-      }
-      {
-        FMTCP_SPAN("sweep.cell.collect");
-        collect_common(connection->goodput(), connection->block_delays(),
-                       scenario, result);
-        collect_subflow(connection->subflow(0), result);
-        collect_subflow(connection->subflow(1), result);
-        result.redundant_symbols =
-            connection->receiver().redundant_symbols();
-        result.symbols_sent =
-            connection->sender().blocks().total_symbols_sent();
-        result.payload_ok = connection->receiver().payload_verified();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.teardown");
-        connection.reset();
-      }
+    case Protocol::kHmtp:
+      run_phases(
+          simulator, scenario, result,
+          [&] {
+            baselines::HmtpConnectionConfig config;
+            config.params = options.fmtcp;
+            config.subflow = options.subflow;
+            config.subflow.observer = scenario.observer;
+            config.goodput_bin = options.goodput_bin;
+            return std::make_unique<baselines::HmtpConnection>(
+                simulator, topology, config);
+          },
+          [&](baselines::HmtpConnection& connection) {
+            collect_subflow(connection.subflow(0), result);
+            collect_subflow(connection.subflow(1), result);
+            result.redundant_symbols =
+                connection.receiver().redundant_symbols();
+            result.symbols_sent =
+                connection.sender().blocks().total_symbols_sent();
+            result.payload_ok = connection.receiver().payload_verified();
+          });
       break;
-    }
 
-    case Protocol::kFixedRate: {
-      std::unique_ptr<baselines::FixedRateConnection> connection;
-      {
-        FMTCP_SPAN("sweep.cell.setup");
-        baselines::FixedRateConnectionConfig config;
-        config.params = options.fixed_rate;
-        config.subflow = options.subflow;
-        config.subflow.observer = scenario.observer;
-        config.goodput_bin = options.goodput_bin;
-        connection = std::make_unique<baselines::FixedRateConnection>(
-            simulator, topology, config);
-        connection->start();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.sim");
-        run_clock(simulator, scenario);
-      }
-      {
-        FMTCP_SPAN("sweep.cell.collect");
-        collect_common(connection->goodput(), connection->block_delays(),
-                       scenario, result);
-        result.redundant_symbols =
-            connection->receiver().redundant_symbols();
-        result.symbols_sent = connection->sender().symbols_sent();
-      }
-      {
-        FMTCP_SPAN("sweep.cell.teardown");
-        connection.reset();
-      }
+    case Protocol::kFixedRate:
+      run_phases(
+          simulator, scenario, result,
+          [&] {
+            baselines::FixedRateConnectionConfig config;
+            config.params = options.fixed_rate;
+            config.subflow = options.subflow;
+            config.subflow.observer = scenario.observer;
+            config.goodput_bin = options.goodput_bin;
+            return std::make_unique<baselines::FixedRateConnection>(
+                simulator, topology, config);
+          },
+          [&](baselines::FixedRateConnection& connection) {
+            result.redundant_symbols =
+                connection.receiver().redundant_symbols();
+            result.symbols_sent = connection.sender().symbols_sent();
+          });
       break;
-    }
   }
   result.sim_events = simulator.scheduler().executed_count();
   result.wall_seconds =
