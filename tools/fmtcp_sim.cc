@@ -13,7 +13,9 @@
 //   fmtcp_sim --protocol=fmtcp --log-level=debug --duration=2
 //   fmtcp_sim --protocol=fmtcp --profile --duration=10
 //   fmtcp_sim --protocol=fmtcp --trace-out=trace.json --duration=10
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -46,6 +48,57 @@ Protocol parse_protocol(const std::string& name) {
   std::exit(2);
 }
 
+/// Rejects a bad flag value before the run. The simulator's FMTCP_CHECKs
+/// guard the same ranges, but as internal invariants: reaching one
+/// aborts, which reads as a crash rather than a usage error.
+[[noreturn]] void reject(const char* flag, const std::string& value,
+                         const char* why) {
+  std::fprintf(stderr, "invalid --%s=%s: %s\n", flag, value.c_str(), why);
+  std::exit(2);
+}
+
+/// A parsed flag value as the user would write it.
+std::string shown(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%g", v);
+  return buf;
+}
+
+bool is_rate(double p) { return p >= 0.0 && p < 1.0; }
+
+/// Simulated seconds: positive and small enough to convert to SimTime.
+bool is_time(double s) { return s > 0.0 && s < 1e9; }
+
+double get_rate(FlagParser& flags, const char* name, double fallback,
+                const char* help) {
+  const double p = flags.get_double(name, fallback, help);
+  if (!is_rate(p)) reject(name, shown(p), "must be in [0,1)");
+  return p;
+}
+
+double get_delay_ms(FlagParser& flags, const char* name, const char* help) {
+  const double ms = flags.get_double(name, 100.0, help);
+  if (!(ms >= 0.0 && ms < 1e9)) reject(name, shown(ms), "must be >= 0 ms");
+  return ms;
+}
+
+/// Integer flag that must be >= 1 (and fit the 32-bit fields it feeds).
+std::uint32_t get_count(FlagParser& flags, const char* name,
+                        std::int64_t fallback, const char* help) {
+  const std::int64_t n = flags.get_int(name, fallback, help);
+  if (n < 1 || n > UINT32_MAX) {
+    reject(name, std::to_string(n), "must be >= 1");
+  }
+  return static_cast<std::uint32_t>(n);
+}
+
+/// Parses a whole string as a number; false on anything else.
+bool parse_number(const std::string& text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return !text.empty() && end == text.c_str() + text.size();
+}
+
 /// Parses "t1:rate1,t2:rate2,..." into a loss schedule (seconds:rate).
 std::vector<net::TimeVaryingLoss::Step> parse_surge(
     const std::string& spec, double initial_rate) {
@@ -54,14 +107,19 @@ std::vector<net::TimeVaryingLoss::Step> parse_surge(
   std::string item;
   while (std::getline(stream, item, ',')) {
     const std::size_t colon = item.find(':');
-    if (colon == std::string::npos) {
-      std::fprintf(stderr, "bad --surge entry '%s' (want t:rate)\n",
-                   item.c_str());
-      std::exit(2);
+    double t = 0.0;
+    double rate = 0.0;
+    if (colon == std::string::npos ||
+        !parse_number(item.substr(0, colon), t) ||
+        !parse_number(item.substr(colon + 1), rate)) {
+      reject("surge", spec, "want t:rate,... (seconds:loss rate)");
     }
-    steps.push_back(
-        {from_seconds(std::stod(item.substr(0, colon))),
-         std::stod(item.substr(colon + 1))});
+    if (!is_time(t)) reject("surge", spec, "each time must be > 0 s");
+    if (!is_rate(rate)) reject("surge", spec, "each rate must be in [0,1)");
+    if (from_seconds(t) <= steps.back().start) {
+      reject("surge", spec, "times must increase");
+    }
+    steps.push_back({from_seconds(t), rate});
   }
   return steps;
 }
@@ -126,20 +184,25 @@ int main(int argc, char** argv) {
 
   Scenario scenario;
   scenario.path1.delay_ms =
-      flags.get_double("delay1", 100.0, "path-1 one-way delay (ms)");
-  scenario.path1.loss =
-      flags.get_double("loss1", 0.0, "path-1 loss rate [0,1)");
+      get_delay_ms(flags, "delay1", "path-1 one-way delay (ms)");
   scenario.path2.delay_ms =
-      flags.get_double("delay2", 100.0, "path-2 one-way delay (ms)");
+      get_delay_ms(flags, "delay2", "path-2 one-way delay (ms)");
+  scenario.path1.loss =
+      get_rate(flags, "loss1", 0.0, "path-1 loss rate [0,1)");
   scenario.path2.loss =
-      flags.get_double("loss2", 0.1, "path-2 loss rate [0,1)");
-  scenario.bandwidth_Bps =
-      flags.get_double("bandwidth_mbps", 5.0, "per-path rate (Mb/s)") *
-      1e6 / 8.0;
-  scenario.queue_packets = static_cast<std::size_t>(
-      flags.get_int("queue", 100, "drop-tail queue (packets)"));
-  scenario.duration = from_seconds(
-      flags.get_double("duration", 60.0, "simulated seconds"));
+      get_rate(flags, "loss2", 0.1, "path-2 loss rate [0,1)");
+  const double mbps =
+      flags.get_double("bandwidth_mbps", 5.0, "per-path rate (Mb/s)");
+  if (!(mbps > 0.0)) reject("bandwidth_mbps", shown(mbps), "must be > 0");
+  scenario.bandwidth_Bps = mbps * 1e6 / 8.0;
+  scenario.queue_packets =
+      get_count(flags, "queue", 100, "drop-tail queue (packets)");
+  const double duration_s =
+      flags.get_double("duration", 60.0, "simulated seconds");
+  if (!is_time(duration_s)) {
+    reject("duration", shown(duration_s), "must be > 0 s");
+  }
+  scenario.duration = from_seconds(duration_s);
   scenario.seed = static_cast<std::uint64_t>(
       flags.get_int("seed", 1, "RNG seed (reproducible runs)"));
 
@@ -151,10 +214,13 @@ int main(int argc, char** argv) {
   }
 
   ProtocolOptions options = ProtocolOptions::defaults();
-  options.fmtcp.block_symbols = static_cast<std::uint32_t>(flags.get_int(
-      "block_symbols", options.fmtcp.block_symbols, "k-hat"));
+  options.fmtcp.block_symbols = get_count(
+      flags, "block_symbols", options.fmtcp.block_symbols, "k-hat");
   options.fmtcp.delta_hat = flags.get_double(
       "delta", options.fmtcp.delta_hat, "max decode-failure prob");
+  if (!(options.fmtcp.delta_hat > 0.0 && options.fmtcp.delta_hat < 1.0)) {
+    reject("delta", shown(options.fmtcp.delta_hat), "must be in (0,1)");
+  }
   options.fmtcp.systematic =
       flags.get_bool("systematic", false, "systematic fountain code");
   const std::string coding_name = flags.get_string(
@@ -176,8 +242,10 @@ int main(int argc, char** argv) {
   if (flags.get_bool("cubic", false, "CUBIC instead of Reno")) {
     options.subflow.congestion = tcp::CongestionAlgo::kCubic;
   }
-  options.mptcp_receive_buffer = static_cast<std::size_t>(flags.get_int(
-      "buffer_kb", 128, "MPTCP receive buffer (KB)")) * 1024;
+  options.mptcp_receive_buffer =
+      std::size_t{get_count(flags, "buffer_kb", 128,
+                            "MPTCP receive buffer (KB)")} *
+      1024;
 
   const int seed_count =
       flags.get_int("seeds", 1, "replicate across N seeds (seed..seed+N-1)");
