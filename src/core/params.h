@@ -17,6 +17,10 @@ enum class AllocationMode {
   kGreedy,
 };
 
+/// Member defaults give a small, valid configuration for unit tests; they
+/// are not the paper's operating point. The figure benches and fmtcp_sim
+/// start from harness::ProtocolOptions::defaults() instead (k̂ = 128,
+/// δ̂ = 0.01, 64 pending blocks).
 struct FmtcpParams {
   /// k̂: source symbols per block. Sized so coding cost is negligible and
   /// the block fits the receive buffer (paper's constraints on k̂).

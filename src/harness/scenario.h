@@ -75,8 +75,10 @@ struct ProtocolOptions {
   bool delayed_acks = false;
   SimTime goodput_bin = kSecond;
 
-  /// Defaults: 64×160 B blocks, 7 symbols/packet (1204 B payload), MPTCP
-  /// segments of the same wire size.
+  /// Defaults: k̂ = 128 symbols of 160 B per block, δ̂ = 0.01, at most 64
+  /// pending blocks, 7 symbols/packet (1204 B payload), MPTCP segments of
+  /// the same wire size. These, not FmtcpParams' member defaults, are the
+  /// operating point the figure benches and fmtcp_sim start from.
   static ProtocolOptions defaults();
 };
 
