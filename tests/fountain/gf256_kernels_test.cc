@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -17,6 +18,14 @@
 #include "fountain/gf256_kernels.h"
 
 namespace fmtcp::fountain {
+
+// Prints a kernel parameter as its name rather than its address, so the
+// ctest names gtest_discover_tests derives from the parameter value
+// (".../avx2") are the same on every build and every run.
+static void PrintTo(const Gf256KernelOps* ops, std::ostream* os) {
+  *os << ops->name;
+}
+
 namespace {
 
 /// Restores the process-wide kernel selection after a test that switches
@@ -150,10 +159,7 @@ TEST_P(Gf256KernelEquivalence, MulAccumulateMatchesScalarAllFanIns) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAvailable, Gf256KernelEquivalence,
-    ::testing::ValuesIn(gf256_available_kernels()),
-    [](const ::testing::TestParamInfo<const Gf256KernelOps*>& param_info) {
-      return std::string(param_info.param->name);
-    });
+    ::testing::ValuesIn(gf256_available_kernels()));
 
 TEST(Gf256KernelDispatch, AvailableKernelsStartWithScalarAndHaveUniqueNames) {
   const auto kernels = gf256_available_kernels();

@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,14 @@
 #include "fountain/gf2_kernels.h"
 
 namespace fmtcp::fountain {
+
+// Prints a kernel parameter as its name rather than its address, so the
+// ctest names gtest_discover_tests derives from the parameter value
+// (".../avx2") are the same on every build and every run.
+static void PrintTo(const Gf2KernelOps* ops, std::ostream* os) {
+  *os << ops->name;
+}
+
 namespace {
 
 /// Restores the process-wide kernel selection after a test that switches
@@ -172,10 +181,7 @@ TEST_P(KernelEquivalence, ReduceRowMatchesScalar) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllAvailable, KernelEquivalence,
-    ::testing::ValuesIn(gf2_available_kernels()),
-    [](const ::testing::TestParamInfo<const Gf2KernelOps*>& param_info) {
-      return std::string(param_info.param->name);
-    });
+    ::testing::ValuesIn(gf2_available_kernels()));
 
 TEST(KernelDispatch, AvailableKernelsStartWithScalarAndHaveUniqueNames) {
   const auto kernels = gf2_available_kernels();
